@@ -7,8 +7,7 @@ package rago
 //
 //	go test -bench=. -benchmem
 //
-// reproduces the paper's evaluation end to end. EXPERIMENTS.md records the
-// paper-vs-measured comparison for every artifact.
+// reproduces the paper's evaluation end to end.
 
 import (
 	"testing"

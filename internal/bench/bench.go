@@ -1,8 +1,7 @@
 // Package bench is the experiment harness: one function per table and
 // figure in the paper's characterization (§5) and evaluation (§7)
 // sections, each returning typed rows/series that cmd/ragochar,
-// cmd/ragoeval, and the repository's benchmarks render. EXPERIMENTS.md
-// records how each output compares with the paper's reported values.
+// cmd/ragoeval, and the repository's benchmarks render.
 package bench
 
 import (

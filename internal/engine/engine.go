@@ -201,8 +201,8 @@ func (e *Evaluator) Evaluate(sched Schedule) (perf.Metrics, bool) {
 
 // EvaluateShaped compiles sched into the scratch plan and returns its
 // shape-weighted metrics over the given length sample — the policy-aware
-// expected-padding pricing (ShapeMetricsWithPolicy at the schedule's own
-// FormPolicy and ChunkQuantum) the schedule search scores candidates with
+// expected-padding pricing (ShapeMetrics at the schedule's own FormPolicy
+// and ChunkQuantum) the schedule search scores candidates with
 // when formation is a search dimension. An empty sample falls back to the
 // constant-shape metrics, bit-identical to Evaluate.
 func (e *Evaluator) EvaluateShaped(sched Schedule, shapes []Shape) (perf.Metrics, bool) {

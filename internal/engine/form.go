@@ -11,9 +11,9 @@ import (
 // members, so batching a 4k-token prompt with seven 512-token prompts
 // wastes most of the prefill FLOPs. This file makes formation an explicit,
 // pluggable dimension: a Former is the policy state machine one stage runs
-// at batch formation, and the SAME Former code decides batches in the live
-// runtime (serve.resource.pick) and the discrete-event simulator
-// (sim.trySchedule), preserving the three-way cross-check discipline.
+// at batch formation, consulted by the Station both executors drive, so
+// the SAME code decides batches in the live runtime and the discrete-event
+// simulator, preserving the three-way cross-check discipline.
 //
 // All policies share the ripeness contract of the historical FIFO rule: a
 // window dispatches when it can fill a batch, or when its oldest member
@@ -78,11 +78,10 @@ type FormView interface {
 	PromptTokens(i int) int
 }
 
-// Former is the batch-formation state machine of one stage. Both
-// executors own one (scratch is not shared) and consult it wherever the
-// historical code applied the FIFO ripeness rule inline. The zero value
-// is not usable — build one with Plan.Former and set Flush to the
-// executor's flush timeout.
+// Former is the batch-formation state machine of one stage; a Station
+// owns one per slot (scratch is not shared). The zero value is not
+// usable — build one with Plan.Former and set Flush to the executor's
+// flush timeout.
 type Former struct {
 	// Policy is the formation policy.
 	Policy BatchPolicy
@@ -296,7 +295,7 @@ func (f *Former) formSorted(v FormView, now float64, ln int) (int, float64, []in
 
 // Former builds the prefix stage's batch-formation state machine from the
 // compiled schedule. The caller sets Flush to its flush timeout; each
-// executor owns its own instance (scratch is not shared across
+// Station owns its own instance (scratch is not shared across
 // goroutines).
 func (p *Plan) Former() Former {
 	return Former{

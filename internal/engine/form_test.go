@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"rago/internal/perf"
 	"rago/internal/ragschema"
 )
 
@@ -244,9 +245,16 @@ func TestShapeMetricsWithPolicyOrdering(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		shapes = append(shapes, Shape{PromptTokens: 2000 + i*250, OutputTokens: 256})
 	}
-	fifo := plan.ShapeMetricsWithPolicy(shapes, PolicyFIFO)
-	buck := plan.ShapeMetricsWithPolicy(shapes, PolicyBucketed)
-	sorted := plan.ShapeMetricsWithPolicy(shapes, PolicySorted)
+	priced := func(pol BatchPolicy) perf.Metrics {
+		sched := caseISchedule()
+		sched.FormPolicy = pol
+		p, _, _ := mustCompile(t, ragschema.CaseI(8e9, 1), sched)
+		return p.ShapeMetrics(shapes)
+	}
+	fifo, buck, sorted := priced(PolicyFIFO), priced(PolicyBucketed), priced(PolicySorted)
+	if fifo != plan.ShapeMetrics(shapes) {
+		t.Errorf("FIFO-policy plan priced %+v, the default plan %+v", fifo, plan.ShapeMetrics(shapes))
+	}
 	if !(buck.QPS >= fifo.QPS && sorted.QPS >= fifo.QPS) {
 		t.Errorf("policy-aware QPS should not trail FIFO: fifo %.2f bucketed %.2f sorted %.2f",
 			fifo.QPS, buck.QPS, sorted.QPS)

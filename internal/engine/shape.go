@@ -160,33 +160,25 @@ func (p *Plan) GenTimeForShape(promptTok, outTok int) float64 {
 //
 // Prefill: at saturation the prefix worker serves full batches of B
 // members drawn from the trace, each costed at the padded maximum of its
-// members, so the expected batch latency is E[L(pad(max of B draws))] —
-// computed exactly from the empirical CDF (P(max <= v) = F(v)^B) with each
-// distinct padded length priced through the memoizing profiler. That
-// expectation replaces the constant-shape prefix latency in both the TTFT
-// critical path and the prefix group's occupancy. Decode: slots free at
-// each request's own output length, so the tier's throughput bound is
+// members, so the expected batch latency depends on the plan's
+// batch-formation policy, computed from the empirical length CDF with each
+// distinct padded length priced through the memoizing profiler. FIFO
+// prices E[L(pad(max of B draws))] over the whole distribution
+// (P(max <= v) = F(v)^B); Bucketed conditions the same expectation within
+// each pow2 length bucket and weights by bucket mass (batches only ever
+// mix within a bucket); Sorted prices consecutive blocks of the sorted
+// length distribution (a saturated sorted window dispatches neighbors).
+// That expectation replaces the constant-shape prefix latency in both the
+// TTFT critical path and the prefix group's occupancy. Chunked-prefill
+// plans (ChunkQuantum > 0) price the prefix in chunk terms instead —
+// per-request occupancy is the request's own expected chunk count, and
+// the TTFT contribution is the mean member completion within a full
+// batch, reflecting chunk pipelining. Decode: slots free at each
+// request's own output length, so the tier's throughput bound is
 // DecodeBatch over the mean per-request generation time (iterative stalls
 // included), and TPOT is the mean per-token pace. Stages whose cost is
 // shape-independent keep their compiled occupancies.
 func (p *Plan) ShapeMetrics(shapes []Shape) perf.Metrics {
-	return p.ShapeMetricsWithPolicy(shapes, p.Sched.FormPolicy)
-}
-
-// ShapeMetricsWithPolicy is ShapeMetrics priced under an explicit
-// batch-formation policy, so callers (the schedule search, the
-// controller's capacity weighting) can compare policies on one compiled
-// plan. The prefix expectation per policy comes from the empirical length
-// CDF: FIFO prices E[L(pad(max of B draws))] over the whole
-// distribution; Bucketed conditions the same expectation within each
-// pow2 length bucket and weights by bucket mass (batches only ever mix
-// within a bucket); SortedWindow prices consecutive blocks of the sorted
-// length distribution (a saturated sorted window dispatches neighbors).
-// Chunked-prefill plans (ChunkQuantum > 0) price the prefix in chunk
-// terms instead — per-request occupancy is the request's own expected
-// chunk count, and the TTFT contribution is the mean member completion
-// within a full batch, reflecting chunk pipelining.
-func (p *Plan) ShapeMetricsWithPolicy(shapes []Shape, pol BatchPolicy) perf.Metrics {
 	if len(shapes) == 0 {
 		return p.Metrics
 	}
@@ -221,7 +213,7 @@ func (p *Plan) ShapeMetricsWithPolicy(shapes []Shape, pol BatchPolicy) perf.Metr
 	} else {
 		// Expected full-batch prefix latency over the policy's padded-max
 		// distribution.
-		elPrefix := p.expectedPrefixLatencyPolicy(shapes, prefix.Batch, pol)
+		elPrefix := p.expectedPrefixLatency(shapes, prefix.Batch)
 		deltaOcc = (elPrefix - prefix.Latency) / float64(prefix.Batch)
 		ttftPrefix = elPrefix
 	}
@@ -262,15 +254,15 @@ func (p *Plan) paddedPrompts(shapes []Shape) (padded []int, shaped bool) {
 	return padded, shaped
 }
 
-// expectedPrefixLatencyPolicy is the expected full-batch prefix latency
-// under a formation policy. With every entry unshaped it degenerates to
+// expectedPrefixLatency is the expected full-batch prefix latency under
+// the plan's formation policy. With every entry unshaped it degenerates to
 // the precompiled latency for every policy.
-func (p *Plan) expectedPrefixLatencyPolicy(shapes []Shape, batch int, pol BatchPolicy) float64 {
+func (p *Plan) expectedPrefixLatency(shapes []Shape, batch int) float64 {
 	padded, shaped := p.paddedPrompts(shapes)
 	if !shaped {
 		return p.Steps[p.PrefixIdx].Latency
 	}
-	switch pol {
+	switch p.Sched.FormPolicy {
 	case PolicyBucketed:
 		// Batches never mix buckets: condition the padded-max expectation
 		// within each pow2 bucket and weight by bucket mass.

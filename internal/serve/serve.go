@@ -174,13 +174,7 @@ type request struct {
 	arrival float64 // virtual
 	// pending counts unfinished predecessors per stage; the goroutine
 	// that decrements a stage's count to zero owns the hand-off.
-	pending []atomic.Int32
-	// enqV records the virtual time the request entered each stage's
-	// queue (virtual iterative slots included). Pipeline slots are
-	// written exactly once, before the channel send that publishes them
-	// to the reading worker; the iterative slots are rewritten per
-	// round, always by the goroutine about to publish the request.
-	enqV     []float64
+	pending  []atomic.Int32
 	ttft     float64
 	decStart float64
 
@@ -195,21 +189,20 @@ type request struct {
 	// — the prefix/KV cache key. Empty requests bypass the cache.
 	chunkIDs []int
 
-	// Iterative decode-loop state (nil/zero on single-retrieval plans).
-	// triggers are the decode token positions the sequence parks at;
-	// resume carries the virtual time each round finished back to the
-	// parked decode goroutine (buffered: one round in flight at a time);
-	// stall accumulates the total parked seconds.
-	triggers []int
-	resume   chan float64
-	parkedV  float64
-	stall    float64
+	// cur is the sequence's decode-slot position (the §5.3 loop on
+	// iterative plans); resume carries the virtual time each round
+	// finished back to the parked decode goroutine (buffered: one round
+	// in flight at a time; nil on single-retrieval plans).
+	cur    engine.DecodeCursor
+	resume chan float64
 }
 
-// item is one unit of inbox work: a request ready at one stage.
+// item is one unit of inbox work: a request ready at one stage (real or
+// virtual) since virtual time at.
 type item struct {
 	q   *request
-	idx int // pipeline stage index
+	idx int
+	at  float64
 }
 
 // dataplane is the per-plan concurrent execution fabric: the batching
@@ -241,27 +234,13 @@ type dataplane struct {
 	// drain detection.
 	inflight atomic.Int64
 
-	// shapedAny flips once any admitted request carries an explicit
-	// shape; while false, workers skip per-batch shape aggregation
-	// entirely (the common constant-shape fast path). The store in
-	// newRequest happens before the channel send publishing the request,
-	// so a worker batching a shaped request always observes true.
-	// taggedAny is the same latch for retrieved-chunk tags: with it false
-	// (or no cache configured) prefix workers never consult the cache.
-	shapedAny atomic.Bool
-	taggedAny atomic.Bool
-
-	// cache is the reuse cache (nil = caching off); cacheOn precomputes
-	// whether its prefix tier is enabled, so the batcher's dispatch path
-	// pays one bool load.
-	cache   *cache.Cache
-	cacheOn bool
+	// cache is the reuse cache (nil = caching off).
+	cache *cache.Cache
 
 	// arena slab-allocates the per-request bookkeeping (request structs,
-	// pending counters, enqueue-time vectors): three allocations per
-	// arenaSlab admissions instead of three per request. newRequest is
-	// only ever called from the owner's sequential replay goroutine, so
-	// the arena needs no lock.
+	// pending counters): two allocations per arenaSlab admissions instead
+	// of two per request. newRequest is only ever called from the owner's
+	// sequential replay goroutine, so the arena needs no lock.
 	arena reqArena
 
 	// onComplete retires a finished request with the owner (WaitGroup,
@@ -284,7 +263,6 @@ func newDataplane(plan *engine.Plan, opts Options, ck clock, coll *collector, bo
 		coll:        coll,
 		bus:         opts.Bus,
 		cache:       opts.Cache,
-		cacheOn:     opts.Cache.PrefixOn(),
 		quit:        make(chan struct{}),
 		onComplete:  onComplete,
 		onSearchErr: onSearchErr,
@@ -294,18 +272,14 @@ func newDataplane(plan *engine.Plan, opts Options, ck clock, coll *collector, bo
 		dp.slotTrack = plan.TrackNames()
 	}
 	for ri, res := range plan.Resources {
-		// ResourceStages appends the decode loop's virtual round slots
-		// to their owning resources, so round batches contend with (and
-		// are picked against) the regular stages on the same worker.
-		r := newResource(dp, res.Name, plan.ResourceStages(ri))
-		r.inbox = make(chan item, bound*len(r.stages))
-		dp.resources = append(dp.resources, r)
+		// Each station serves Plan.ResourceStages: the decode loop's
+		// virtual round slots sit on their owning resources, so round
+		// batches contend with the regular stages on the same worker.
+		dp.resources = append(dp.resources, &resource{dp: dp, name: res.Name,
+			inbox: make(chan item, bound*len(plan.ResourceStages(ri))),
+			st:    engine.NewStation[*request](plan, ri, opts.FlushTimeout, opts.Cache)})
 	}
-	dp.decode = &decodeTier{
-		dp:        dp,
-		outTokens: plan.Steps[plan.DecodeIdx].Stage.OutTokens,
-		round:     plan.Round,
-	}
+	dp.decode = &decodeTier{dp: dp}
 	dp.decode.start(bound)
 	return dp
 }
@@ -316,18 +290,16 @@ func newDataplane(plan *engine.Plan, opts Options, ck clock, coll *collector, bo
 type reqArena struct {
 	reqs    []request
 	pending []atomic.Int32
-	enqV    []float64
 }
 
 // arenaSlab is how many requests one slab serves.
 const arenaSlab = 256
 
-// newRequest builds the per-request bookkeeping for this dataplane's plan,
-// synthesizing deterministic trigger positions (seeded by the request ID)
-// when an iterative plan's trace entry carries none. Called only from the
-// owner's sequential replay goroutine (see reqArena).
+// newRequest builds the per-request bookkeeping for this dataplane's
+// plan. Called only from the owner's sequential replay goroutine (see
+// reqArena).
 func (dp *dataplane) newRequest(r trace.Request) *request {
-	nSteps, nSlots := len(dp.plan.Steps), dp.plan.NumSlots()
+	nSteps := len(dp.plan.Steps)
 	a := &dp.arena
 	if len(a.reqs) == 0 {
 		a.reqs = make([]request, arenaSlab)
@@ -335,34 +307,17 @@ func (dp *dataplane) newRequest(r trace.Request) *request {
 	if len(a.pending) < nSteps {
 		a.pending = make([]atomic.Int32, arenaSlab*nSteps)
 	}
-	if len(a.enqV) < nSlots {
-		a.enqV = make([]float64, arenaSlab*nSlots)
-	}
 	q := &a.reqs[0]
 	a.reqs = a.reqs[1:]
 	q.pending, a.pending = a.pending[:nSteps:nSteps], a.pending[nSteps:]
-	q.enqV, a.enqV = a.enqV[:nSlots:nSlots], a.enqV[nSlots:]
 	q.id = r.ID
 	q.arrival = r.Arrival
 	q.promptTok = r.PromptTokens
 	q.outTok = r.OutputTokens
 	q.chunkIDs = r.ChunkIDs
-	if r.Shaped() && !dp.shapedAny.Load() {
-		dp.shapedAny.Store(true)
-	}
-	if r.Tagged() && !dp.taggedAny.Load() {
-		dp.taggedAny.Store(true)
-	}
+	q.cur = dp.plan.DecodeCursor(r)
 	if dp.plan.Round != nil {
 		q.resume = make(chan float64, 1)
-		q.triggers = r.Triggers
-		if q.triggers == nil {
-			out := dp.decode.outTokens
-			if q.outTok > 0 {
-				out = q.outTok
-			}
-			q.triggers = trace.TriggersFor(r.ID, dp.plan.Round.RoundsPerSeq, out)
-		}
 	}
 	return q
 }
@@ -401,24 +356,23 @@ func (dp *dataplane) admit(q *request, at float64) {
 		q.pending[st].Store(int32(len(ps)))
 	}
 	for _, e := range dp.plan.Entries {
-		q.enqV[e] = at
-		dp.submit(q, e)
+		dp.submit(q, e, at)
 	}
 }
 
-// submit routes a request, ready at stage idx (real or virtual), to the
-// owning worker.
-func (dp *dataplane) submit(q *request, idx int) {
+// submit routes a request, ready at stage idx (real or virtual) since
+// virtual time at, to the owning worker.
+func (dp *dataplane) submit(q *request, idx int, at float64) {
 	if dp.bus.Active() {
-		dp.bus.Publish(obs.Event{Kind: obs.KindEnqueue, T: q.enqV[idx], Req: q.id,
+		dp.bus.Publish(obs.Event{Kind: obs.KindEnqueue, T: at, Req: q.id,
 			Slot: idx, Stage: dp.slotName[idx], Track: dp.slotTrack[idx]})
 	}
 	if st := dp.plan.StepAt(idx); st.Resource >= 0 {
-		dp.resources[st.Resource].inbox <- item{q, idx}
+		dp.resources[st.Resource].inbox <- item{q, idx, at}
 		return
 	}
 	dp.coll.enqueued(dp.plan.DecodeIdx, len(dp.decode.inbox)+1)
-	dp.decode.inbox <- q
+	dp.decode.inbox <- item{q, idx, at}
 }
 
 // advance moves a request past stage idx, which completed at virtual
@@ -430,8 +384,7 @@ func (dp *dataplane) advance(q *request, idx int, t float64) {
 	if dp.plan.Round != nil {
 		switch idx {
 		case dp.plan.IterRetrievalSlot():
-			q.enqV[dp.plan.IterPrefixSlot()] = t
-			dp.submit(q, dp.plan.IterPrefixSlot())
+			dp.submit(q, dp.plan.IterPrefixSlot(), t)
 			return
 		case dp.plan.IterPrefixSlot():
 			q.resume <- t
@@ -443,24 +396,19 @@ func (dp *dataplane) advance(q *request, idx int, t float64) {
 	}
 	for _, succ := range dp.plan.Succs[idx] {
 		if q.pending[succ].Add(-1) == 0 {
-			q.enqV[succ] = t
-			dp.submit(q, succ)
+			dp.submit(q, succ, t)
 		}
 	}
 }
 
 // complete retires a fully generated request.
 func (dp *dataplane) complete(q *request, done float64) {
-	out := dp.plan.Steps[dp.plan.DecodeIdx].Stage.OutTokens
-	if q.outTok > 0 {
-		out = q.outTok
-	}
 	tpot := 0.0
-	if out > 0 {
+	if out := q.cur.OutTokens(); out > 0 {
 		tpot = (done - q.decStart) / float64(out)
 	}
 	dp.coll.release(dp.plan.DecodeIdx, 1)
-	dp.coll.complete(q.ttft, tpot, done-q.arrival, done, q.stall, q.promptTok, q.outTok)
+	dp.coll.complete(q.ttft, tpot, done-q.arrival, done, q.cur.Stall, q.promptTok, q.outTok)
 	if dp.cache.AnswerOn() && len(q.chunkIDs) > 0 {
 		dp.cache.AnswerStore(q.chunkIDs, q.promptTok, q.outTok)
 	}

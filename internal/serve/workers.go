@@ -1,9 +1,6 @@
 package serve
 
-import (
-	"rago/internal/engine"
-	"rago/internal/obs"
-)
+import "rago/internal/obs"
 
 // decodeTier is the continuous-batching decode pool. The plan's
 // DecodeBatch slots are a bounded channel of slot leases, each lease
@@ -22,15 +19,13 @@ import (
 // resumes at the round's finish time. The parked seconds accumulate as
 // the sequence's stall.
 type decodeTier struct {
-	dp        *dataplane
-	inbox     chan *request
-	slots     chan float64      // free-at virtual times; cap == DecodeBatch
-	outTokens int               // schema-constant generation length
-	round     *engine.IterRound // nil on single-retrieval plans
+	dp    *dataplane
+	inbox chan item
+	slots chan float64 // free-at virtual times; cap == DecodeBatch
 }
 
 func (d *decodeTier) start(bound int) {
-	d.inbox = make(chan *request, bound)
+	d.inbox = make(chan item, bound)
 	batch := d.dp.plan.Sched.DecodeBatch
 	d.slots = make(chan float64, batch)
 	for i := 0; i < batch; i++ {
@@ -42,9 +37,9 @@ func (d *decodeTier) start(bound int) {
 func (d *decodeTier) run() {
 	decIdx := d.dp.plan.DecodeIdx
 	for {
-		var q *request
+		var it item
 		select {
-		case q = <-d.inbox:
+		case it = <-d.inbox:
 		case <-d.dp.quit:
 			return
 		}
@@ -54,7 +49,8 @@ func (d *decodeTier) run() {
 		case <-d.dp.quit:
 			return
 		}
-		q.decStart = maxf(free, q.enqV[decIdx])
+		q := it.q
+		q.decStart = maxf(free, it.at)
 		if d.dp.bus.Active() {
 			d.dp.bus.Publish(obs.Event{Kind: obs.KindDecodeLease, T: q.decStart, Req: q.id,
 				Slot: decIdx, Stage: d.dp.slotName[decIdx], Track: "decode"})
@@ -63,59 +59,39 @@ func (d *decodeTier) run() {
 	}
 }
 
-// generate runs one sequence's decode: a single sleep for the request's
-// own generation length on single-retrieval plans (the precompiled
-// constant-shape latency when the request is unshaped), or the §5.3
-// decode loop — decode to each trigger, park for an iterative
-// retrieval+prefix round, resume — on iterative ones. The sequence holds
-// its decode slot throughout, parks included (continuous batching refills
-// slots only on completion), and frees it at its own output length, which
-// is what makes saturation throughput DecodeBatch over the mean stalled
-// generation time, as the shape-weighted analytical model prices it.
+// generate runs one sequence's decode as its cursor dictates: a single
+// sleep for the request's own generation length on single-retrieval
+// plans, or the §5.3 decode loop — decode to each trigger, park for an
+// iterative retrieval+prefix round, resume — on iterative ones. The
+// sequence holds its decode slot throughout, parks included (continuous
+// batching refills slots only on completion), and frees it at its own
+// output length, which is what makes saturation throughput DecodeBatch
+// over the mean stalled generation time, as the shape-weighted analytical
+// model prices it.
 func (d *decodeTier) generate(q *request) {
-	if d.round == nil || len(q.triggers) == 0 {
-		// Shape-dependent pacing: a long prompt grows the live KV context
-		// and slows its own decode steps (GenTimeForShape); unshaped
-		// requests hold the precompiled constant bit for bit.
-		d.finish(q, q.decStart+d.dp.plan.GenTimeForShape(q.promptTok, q.outTok))
-		return
+	dp := d.dp
+	t := q.decStart
+	for {
+		at, park := q.cur.Next(t)
+		if !park {
+			d.finish(q, at)
+			return
+		}
+		dp.clock.sleepUntil(at)
+		round := q.cur.Park(at)
+		if dp.bus.Active() {
+			dp.bus.Publish(obs.Event{Kind: obs.KindDecodePark, T: at, Req: q.id,
+				Slot: dp.plan.DecodeIdx, Stage: "decode", Track: "decode", N: round})
+		}
+		dp.submit(q, dp.plan.IterRetrievalSlot(), at)
+		t = <-q.resume
+		parked := q.cur.Resume(t)
+		if dp.bus.Active() {
+			dp.bus.Publish(obs.Event{Kind: obs.KindDecodeResume, T: t, Req: q.id,
+				Slot: dp.plan.DecodeIdx, Stage: "decode", Track: "decode",
+				N: round, Dur: parked})
+		}
 	}
-	outTokens := d.outTokens
-	if q.outTok > 0 {
-		outTokens = q.outTok
-	}
-	t, tok := q.decStart, 0
-	for ri, trig := range q.triggers {
-		// Clamp recorded positions into [tok, outTokens]: decode only
-		// moves forward, so an out-of-range or out-of-order trigger
-		// parks at the nearest legal token instead of rewinding time.
-		if trig > outTokens {
-			trig = outTokens
-		}
-		if trig < tok {
-			trig = tok
-		}
-		t += float64(trig-tok) * d.round.DecodeStep
-		tok = trig
-		d.dp.clock.sleepUntil(t)
-		q.parkedV = t
-		if d.dp.bus.Active() {
-			d.dp.bus.Publish(obs.Event{Kind: obs.KindDecodePark, T: t, Req: q.id,
-				Slot: d.dp.plan.DecodeIdx, Stage: "decode", Track: "decode", N: ri + 1})
-		}
-		q.enqV[d.dp.plan.IterRetrievalSlot()] = t
-		d.dp.submit(q, d.dp.plan.IterRetrievalSlot())
-		resumed := <-q.resume
-		q.stall += resumed - q.parkedV
-		if d.dp.bus.Active() {
-			d.dp.bus.Publish(obs.Event{Kind: obs.KindDecodeResume, T: resumed, Req: q.id,
-				Slot: d.dp.plan.DecodeIdx, Stage: "decode", Track: "decode",
-				N: ri + 1, Dur: resumed - q.parkedV})
-		}
-		t = resumed
-	}
-	t += float64(outTokens-tok) * d.round.DecodeStep
-	d.finish(q, t)
 }
 
 // finish sleeps out the remainder of one sequence's generation, returns
