@@ -1,7 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"math"
+	"slices"
 	"sort"
 
 	"rago/internal/engine"
@@ -91,14 +93,25 @@ type searchCtx struct {
 	idx    []int32
 
 	probeGroups []GroupSchedule
+
+	// grid and pts are planFrontier's stamping buffers.
+	grid []stampResult
+	pts  []perf.Point[int32]
+}
+
+// stampResult is one stamping's evaluation.
+type stampResult struct {
+	m  perf.Metrics
+	ok bool
 }
 
 type partialCorner struct{ tpot, qps float64 }
 
 // newSearchCtx builds a worker context. The scratch evaluator runs the
 // exact compile arithmetic Assembler.Evaluate runs, without per-schedule
-// plan allocation; on the (already validated) pipelines the optimizer
-// builds it cannot fail, but a failure falls back to the Assembler.
+// plan allocation, and prices over the search's shape sample. It fails
+// only on an invalid pipeline graph, on which no schedule compiles, so
+// its absence leaves every plan frontier empty.
 func (o *Optimizer) newSearchCtx() *searchCtx {
 	ctx := &searchCtx{
 		o:           o,
@@ -125,7 +138,7 @@ func (o *Optimizer) newSearchCtx() *searchCtx {
 	ctx.retrActive = len(ctx.nprobes) != 1 || ctx.nprobes[0] != 0 ||
 		len(ctx.fanouts) != 1 || ctx.fanouts[0] != 0
 	ctx.cheapNP, ctx.cheapFO = o.cheapestKnobs(ctx.nprobes, ctx.fanouts)
-	if ev, err := engine.NewEvaluator(o.Pipe, o.Prof); err == nil {
+	if ev, err := engine.NewEvaluator(o.Pipe, o.Prof, o.Opts.Shapes); err == nil {
 		ctx.ev = ev
 	}
 	return ctx
@@ -185,27 +198,70 @@ func (o *Optimizer) cheapestKnobs(nprobes, fanouts []int) (np, fo int) {
 	return np, fo
 }
 
-// evaluate assembles end-to-end metrics for one schedule through the
-// scratch evaluator, applying the Assembler's QPS/chip normalization.
-// Results are bit-identical to Assembler.Evaluate.
-func (c *searchCtx) evaluate(s Schedule) (perf.Metrics, bool) {
-	if c.ev == nil {
-		return c.o.Asm.Evaluate(s)
+// stamps is the number of formation and retrieval stampings each
+// candidate schedule is priced at.
+func (c *searchCtx) stamps() int {
+	return len(c.policies) * len(c.quanta) * len(c.nprobes) * len(c.fanouts)
+}
+
+// stamped returns candidate s under stamping id, numbered in (policy,
+// quantum, nprobe, fanout) order with the fanout varying fastest.
+func (c *searchCtx) stamped(s Schedule, id int) Schedule {
+	s.ShardFanout = c.fanouts[id%len(c.fanouts)]
+	id /= len(c.fanouts)
+	s.NProbe = c.nprobes[id%len(c.nprobes)]
+	id /= len(c.nprobes)
+	s.ChunkQuantum = c.quanta[id%len(c.quanta)]
+	s.FormPolicy = c.policies[id/len(c.quanta)]
+	return s
+}
+
+// stampAll prices every stamping of candidate s through the scratch
+// evaluator, applying the Assembler's QPS/chip normalization, and appends
+// the feasible ones to pts in stamping order, each carrying base + its
+// stamping id. Compilation never reads the formation policy, so the
+// evaluator compiles once per (quantum, nprobe, fanout) tuple and restamps
+// the other policies onto that plan; the metrics are bit-identical to
+// Assembler-compiling each stamped schedule.
+func (c *searchCtx) stampAll(pts []perf.Point[int32], s Schedule, base int32) []perf.Point[int32] {
+	nq, nn, nf := len(c.quanta), len(c.nprobes), len(c.fanouts)
+	if n := c.stamps(); cap(c.grid) < n {
+		c.grid = make([]stampResult, n)
 	}
-	var m perf.Metrics
-	var ok bool
-	if len(c.o.Opts.Shapes) > 0 {
-		m, ok = c.ev.EvaluateShaped(s, c.o.Opts.Shapes)
-	} else {
-		m, ok = c.ev.Evaluate(s)
+	grid := c.grid[:c.stamps()]
+	clear(grid)
+	for qi, q := range c.quanta {
+		for ni, np := range c.nprobes {
+			for fi, fo := range c.fanouts {
+				sc := s
+				sc.FormPolicy = c.policies[0]
+				sc.ChunkQuantum = q
+				sc.NProbe = np
+				sc.ShardFanout = fo
+				for pi, pol := range c.policies {
+					var r stampResult
+					if pi == 0 {
+						r.m, r.ok = c.ev.Evaluate(sc)
+					} else {
+						r.m, r.ok = c.ev.Restamp(pol)
+					}
+					if !r.ok {
+						continue
+					}
+					if n := c.o.Asm.NormalizeChips; n > 0 {
+						r.m.QPSPerChip = r.m.QPS / float64(n)
+					}
+					grid[((pi*nq+qi)*nn+ni)*nf+fi] = r
+				}
+			}
+		}
 	}
-	if !ok {
-		return perf.Metrics{}, false
+	for i, r := range grid {
+		if r.ok {
+			pts = append(pts, perf.Point[int32]{Metrics: r.m, Item: base + int32(i)})
+		}
 	}
-	if n := c.o.Asm.NormalizeChips; n > 0 {
-		m.QPSPerChip = m.QPS / float64(n)
-	}
-	return m, true
+	return pts
 }
 
 // materialize expands a surviving partial into a complete schedule,
@@ -631,18 +687,18 @@ func prunePartialsInto(ctx *searchCtx, src []spart, dst []spart) []spart {
 		idx = append(idx, int32(i))
 	}
 	ctx.idx = idx
-	sort.Slice(idx, func(a, b int) bool {
-		x, y := &valid[idx[a]], &valid[idx[b]]
-		if x.ttft != y.ttft {
-			return x.ttft < y.ttft
+	slices.SortFunc(idx, func(a, b int32) int {
+		x, y := &valid[a], &valid[b]
+		if c := cmp.Compare(x.ttft, y.ttft); c != 0 {
+			return c
 		}
-		if x.tpot != y.tpot {
-			return x.tpot < y.tpot
+		if c := cmp.Compare(x.tpot, y.tpot); c != 0 {
+			return c
 		}
-		if x.qps != y.qps {
-			return x.qps > y.qps
+		if c := cmp.Compare(y.qps, x.qps); c != 0 {
+			return c
 		}
-		return idx[a] < idx[b]
+		return cmp.Compare(a, b)
 	})
 	stairs := ctx.stairs[:0]
 	for _, pi := range idx {
@@ -670,12 +726,11 @@ func prunePartialsInto(ctx *searchCtx, src []spart, dst []spart) []spart {
 		stairs[ins] = partialCorner{p.tpot, p.qps}
 	}
 	ctx.stairs = stairs
-	sort.SliceStable(dst, func(i, j int) bool {
-		a, b := dst[i], dst[j]
-		if a.ttft != b.ttft {
-			return a.ttft < b.ttft
+	slices.SortStableFunc(dst, func(a, b spart) int {
+		if c := cmp.Compare(a.ttft, b.ttft); c != 0 {
+			return c
 		}
-		return a.qps > b.qps
+		return cmp.Compare(b.qps, a.qps)
 	})
 	return dst
 }

@@ -34,12 +34,13 @@ type Options struct {
 	NormalizeChips int
 	// Placements overrides the Fig. 13 legal enumeration when non-nil.
 	Placements []pipeline.Placement
-	// Shapes, when non-empty, scores every candidate schedule by the
-	// policy-aware shape-weighted metrics (engine.Plan.ShapeMetrics at
-	// the candidate's own FormPolicy and ChunkQuantum) over this per-request length sample instead of the schema constants.
-	// Heterogeneous traffic is what differentiates formation policies; the
-	// plan bounds relax onto the sample minima to stay admissible against
-	// the shaped pricing.
+	// Shapes, when non-empty, is the per-request length sample every
+	// candidate schedule is priced over in place of the schema constants:
+	// the policy-aware shape-weighted metrics (engine.Plan.ShapeMetrics)
+	// at the candidate's own FormPolicy and ChunkQuantum. Heterogeneous
+	// traffic is what differentiates formation policies; the plan bounds
+	// relax onto the sample minima to stay admissible against the shaped
+	// pricing.
 	Shapes []engine.Shape
 	// Policies enumerates batch-formation policies as a schedule search
 	// dimension. Empty searches only FIFO — byte-compatible with the
@@ -158,6 +159,18 @@ func NewOptimizer(schema ragschema.Schema, opts Options) (*Optimizer, error) {
 	}
 	if opts.MaxPreBatch < 1 || opts.MaxRetrievalBatch < 1 || opts.MaxDecodeBatch < 1 {
 		return nil, fmt.Errorf("core: batch bounds must be positive")
+	}
+	// The search compiles each candidate under the first policy only and
+	// restamps the rest, so schedule validation never sees them.
+	for _, p := range opts.Policies {
+		if !p.Known() {
+			return nil, fmt.Errorf("core: unknown batch-formation policy %d in Options.Policies", int(p))
+		}
+	}
+	for _, q := range opts.ChunkQuanta {
+		if q < 0 {
+			return nil, fmt.Errorf("core: negative chunk quantum %d in Options.ChunkQuanta", q)
+		}
 	}
 	pipe, err := pipeline.Build(schema)
 	if err != nil {
@@ -308,30 +321,30 @@ func (o *Optimizer) planFrontier(ctx *searchCtx, plan Plan, inc *perf.Incrementa
 		// prunes.
 		inc = nil
 	}
-	var pts []SchedulePoint
+	if ctx.ev == nil {
+		return nil // the pipeline graph is invalid: nothing compiles
+	}
+	// The frontier runs on stamp ids (candidate index x stamps + stamp)
+	// in (candidate, policy, quantum, nprobe, fanout) order, which fixes
+	// the first occurrence exact duplicates collapse to; only the
+	// survivors are expanded into schedules.
+	var cands []Schedule
+	pts := ctx.pts[:0]
 	for _, bIter := range ctx.iterBatches {
 		for _, s := range o.planCandidates(ctx, plan, bIter, inc, bound) {
-			for _, pol := range ctx.policies {
-				for _, q := range ctx.quanta {
-					for _, np := range ctx.nprobes {
-						for _, fo := range ctx.fanouts {
-							sc := s
-							sc.FormPolicy = pol
-							sc.ChunkQuantum = q
-							sc.NProbe = np
-							sc.ShardFanout = fo
-							if m, ok := ctx.evaluate(sc); ok {
-								pts = append(pts, SchedulePoint{Metrics: m, Item: sc})
-							}
-						}
-					}
-				}
-			}
+			pts = ctx.stampAll(pts, s, int32(len(cands)*ctx.stamps()))
+			cands = append(cands, s)
 		}
 	}
+	ctx.pts = pts
 	front := perf.Frontier(pts)
-	sortSchedules(front)
-	return front
+	out := make([]SchedulePoint, len(front))
+	for i, p := range front {
+		id := int(p.Item)
+		out[i] = SchedulePoint{Metrics: p.Metrics, Item: ctx.stamped(cands[id/ctx.stamps()], id%ctx.stamps())}
+	}
+	sortSchedules(out)
+	return out
 }
 
 // Optimize runs the full search and returns the global Pareto frontier

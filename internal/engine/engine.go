@@ -22,6 +22,7 @@ package engine
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"rago/internal/perf"
 	"rago/internal/pipeline"
@@ -165,54 +166,72 @@ func (p *Plan) buildGraph(pipe pipeline.Pipeline) {
 	}
 }
 
-// Evaluator assembles the analytical metrics of schedules against one
-// (pipeline, profiler) pair, reusing a scratch plan between calls. It runs
-// the exact compileInto code path Compile runs — bit-identical metrics —
-// but re-fills preallocated step/resource/graph storage instead of building
-// a fresh immutable Plan per schedule, which is what the schedule search's
-// innermost loop (thousands of surviving candidates per plan) needs. Not
-// safe for concurrent use; each search worker owns one.
+// Evaluator prices schedules against one (pipeline, profiler, shape
+// sample) triple, reusing a scratch plan between calls — the schedule
+// search's innermost loop, which prices thousands of surviving candidates
+// per plan. Evaluate runs the exact compileInto code path Compile runs,
+// re-filling preallocated step/resource/graph storage instead of building
+// a fresh immutable Plan, and returns what the compiled plan would price:
+// Plan.Metrics with an empty sample, Plan.ShapeMetrics (at the schedule's
+// own FormPolicy and ChunkQuantum) otherwise, bit for bit. Restamp
+// re-prices the schedule Evaluate last compiled under another FormPolicy
+// without recompiling, since only the shaped pricing reads the policy.
+// The shaped pricing's two sample terms — the decode generation-time sum
+// and the expected padded-max prefix latency — are memoized per decode and
+// prefix configuration across calls; compiled Plans keep no memo. Not safe
+// for concurrent use; each search worker owns one.
 type Evaluator struct {
-	pipe pipeline.Pipeline
-	prof *stageperf.Profiler
-	plan Plan
-	err  error
+	pipe   pipeline.Pipeline
+	prof   *stageperf.Profiler
+	shapes []Shape
+	plan   Plan
+	// compiled reports whether plan holds the last Evaluate's schedule
+	// (false after an infeasible one), which Restamp re-prices.
+	compiled bool
+	memo     shapeMemo
 }
 
-// NewEvaluator validates the pipeline graph once and builds the evaluator.
-func NewEvaluator(pipe pipeline.Pipeline, prof *stageperf.Profiler) (*Evaluator, error) {
+// NewEvaluator validates the pipeline graph once and builds an evaluator
+// pricing over the given shape sample (empty: the schema constants).
+func NewEvaluator(pipe pipeline.Pipeline, prof *stageperf.Profiler, shapes []Shape) (*Evaluator, error) {
 	if err := pipe.ValidateGraph(); err != nil {
 		return nil, err
 	}
-	e := &Evaluator{pipe: pipe, prof: prof}
+	e := &Evaluator{pipe: pipe, prof: prof, shapes: shapes}
 	e.plan.buildGraph(pipe)
 	e.plan.cpScratch = make([]float64, len(pipe.Stages))
 	return e, nil
 }
 
-// Evaluate compiles sched into the scratch plan and returns its assembled
-// metrics; ok is false when the schedule is infeasible.
+// Evaluate compiles sched into the scratch plan and returns its metrics
+// over the evaluator's shape sample; ok is false when the schedule is
+// infeasible.
 func (e *Evaluator) Evaluate(sched Schedule) (perf.Metrics, bool) {
-	if err := compileInto(&e.plan, e.pipe, sched, e.prof, false); err != nil {
+	e.compiled = compileInto(&e.plan, e.pipe, sched, e.prof, false) == nil
+	if !e.compiled {
 		return perf.Metrics{}, false
 	}
-	return e.plan.Metrics, true
+	return e.price(), true
 }
 
-// EvaluateShaped compiles sched into the scratch plan and returns its
-// shape-weighted metrics over the given length sample — the policy-aware
-// expected-padding pricing (ShapeMetrics at the schedule's own FormPolicy
-// and ChunkQuantum) the schedule search scores candidates with
-// when formation is a search dimension. An empty sample falls back to the
-// constant-shape metrics, bit-identical to Evaluate.
-func (e *Evaluator) EvaluateShaped(sched Schedule, shapes []Shape) (perf.Metrics, bool) {
-	if err := compileInto(&e.plan, e.pipe, sched, e.prof, false); err != nil {
+// Restamp re-prices the schedule the last Evaluate compiled with its
+// FormPolicy replaced by policy — bit-identical to Evaluate on the
+// restamped schedule, without recompiling. ok is false when that Evaluate
+// failed or the policy is unknown.
+func (e *Evaluator) Restamp(policy BatchPolicy) (perf.Metrics, bool) {
+	if !e.compiled || !policy.Known() {
 		return perf.Metrics{}, false
 	}
-	if len(shapes) == 0 {
-		return e.plan.Metrics, true
+	e.plan.Sched.FormPolicy = policy
+	return e.price(), true
+}
+
+// price returns the scratch plan's metrics over the shape sample.
+func (e *Evaluator) price() perf.Metrics {
+	if len(e.shapes) == 0 {
+		return e.plan.Metrics
 	}
-	return e.plan.ShapeMetrics(shapes), true
+	return e.plan.shapeMetrics(e.shapes, &e.memo)
 }
 
 // compileInto resolves sched against pipe into p, which must carry a
@@ -624,6 +643,9 @@ func RetrievalPause(pipe pipeline.Pipeline, prof *stageperf.Profiler, stages []i
 			spanned = append(spanned, ridx)
 		}
 	}
+	if len(spanned) == 0 {
+		return 0, true
+	}
 	var pause float64
 	chain := make(map[int]float64, len(spanned))
 	for i, ridx := range spanned { // ascending index == topological order
@@ -647,23 +669,22 @@ func RetrievalPause(pipe pipeline.Pipeline, prof *stageperf.Profiler, stages []i
 // GroupMemFits checks that the models collocated on a group fit together
 // in the group's aggregate HBM: each distinct model is resident once per
 // replica of the widest replication any of its stages uses (per-stage
-// checks inside xpusim only see one model at a time).
+// checks inside xpusim only see one model at a time). Models are summed
+// in order of first appearance in the group.
 func GroupMemFits(pipe pipeline.Pipeline, prof *stageperf.Profiler, g GroupSchedule) bool {
-	reps := make(map[string]int, len(g.Stages))
-	bytes := make(map[string]float64, len(g.Stages))
+	var need float64
 	for i, idx := range g.Stages {
 		m := pipe.Stages[idx].Model
-		if m.Name == "" {
-			continue // retrieval has no model
+		if m.Name == "" || slices.ContainsFunc(g.Stages[:i], func(j int) bool { return pipe.Stages[j].Model.Name == m.Name }) {
+			continue // retrieval has no model; a repeat is already counted
 		}
-		if r := g.ReplicasFor(i); r > reps[m.Name] {
-			reps[m.Name] = r
+		r := g.ReplicasFor(i)
+		for k := i + 1; k < len(g.Stages); k++ {
+			if pipe.Stages[g.Stages[k]].Model.Name == m.Name {
+				r = max(r, g.ReplicasFor(k))
+			}
 		}
-		bytes[m.Name] = m.ParamBytes()
-	}
-	var need float64
-	for name, r := range reps {
-		need += bytes[name] * float64(r)
+		need += m.ParamBytes() * float64(r)
 	}
 	usable := prof.Sim.Chip.HBMBytes * (1 - prof.Sim.P.HBMReserve) * float64(g.Chips)
 	return need <= usable

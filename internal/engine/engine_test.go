@@ -289,3 +289,115 @@ func TestRetrievalPauseParallelSources(t *testing.T) {
 		t.Errorf("downstream group pause = %v, want 0", pause)
 	}
 }
+
+// TestEvaluatorMemoRestamp drives schedules A, B, A, C, D through one
+// shaped Evaluator and restamps every policy after each: B differs from A
+// in both its prefix and its decode configuration, C only in its
+// iterative batch (so only the per-request stall separates their decode
+// terms), D only in its prefix group's chips.
+// Every result must equal a freshly compiled plan's ShapeMetrics for that
+// stamping, bit for bit — the memo must never serve one configuration's
+// terms to another — and the second pass over A must not grow the memo.
+func TestEvaluatorMemoRestamp(t *testing.T) {
+	schema := ragschema.CaseIII(8e9, 4)
+	pipe, err := pipeline.Build(schema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prof := stageperf.New(hw.XPUC, hw.EPYCHost, schema)
+	var shapes []Shape
+	for i := 0; i < 12; i++ {
+		shapes = append(shapes, Shape{PromptTokens: 180 + (i*53)%400, OutputTokens: 128 + (i*31)%256})
+	}
+	shapes = append(shapes, Shape{PromptTokens: 3000, OutputTokens: 512}, Shape{})
+	ev, err := NewEvaluator(pipe, prof, shapes)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	a := Schedule{
+		Groups:           []GroupSchedule{{Stages: []int{1}, Chips: 16, Batch: 4}},
+		RetrievalServers: 16,
+		RetrievalBatch:   4,
+		DecodeChips:      16,
+		DecodeBatch:      128,
+		DecodeReplicas:   4,
+		IterativeBatch:   4,
+	}
+	b := a
+	b.Groups = []GroupSchedule{{Stages: []int{1}, Chips: 8, Batch: 8, Replicas: []int{2}}}
+	b.DecodeChips, b.DecodeBatch, b.DecodeReplicas = 32, 256, 8
+	c := a
+	c.IterativeBatch = 16
+	d := a
+	d.Groups = []GroupSchedule{{Stages: []int{1}, Chips: 8, Batch: 4}}
+
+	policies := []BatchPolicy{PolicyFIFO, PolicyBucketed, PolicySorted}
+	var stalls []float64
+	for pass, sched := range []Schedule{a, b, a, c, d} {
+		gen, pre := len(ev.memo.gen), len(ev.memo.prefix)
+		// Compile under the last policy first so every Restamp below moves
+		// the policy away from the one compiled.
+		sched.FormPolicy = PolicySorted
+		if _, ok := ev.Evaluate(sched); !ok {
+			t.Fatalf("pass %d: schedule infeasible", pass)
+		}
+		for _, pol := range policies {
+			got, ok := ev.Restamp(pol)
+			if !ok {
+				t.Fatalf("pass %d: restamp %v failed", pass, pol)
+			}
+			stamped := sched
+			stamped.FormPolicy = pol
+			plan, err := Compile(pipe, stamped, prof)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := plan.ShapeMetrics(shapes); got != want {
+				t.Errorf("pass %d policy %v: restamped %+v, compiled plan prices %+v", pass, pol, got, want)
+			}
+			if pol == PolicyFIFO {
+				stalls = append(stalls, plan.Iter.StallPerRequest)
+			}
+		}
+		if pass == 2 && (len(ev.memo.gen) != gen || len(ev.memo.prefix) != pre) {
+			t.Errorf("second pass over A grew the memo: decode %d -> %d, prefix %d -> %d",
+				gen, len(ev.memo.gen), pre, len(ev.memo.prefix))
+		}
+	}
+	if stalls[0] <= 0 || stalls[3] == stalls[0] {
+		t.Errorf("stalls %v: A must stall, and C must stall differently", stalls)
+	}
+
+	// An infeasible schedule leaves nothing to restamp.
+	bad := a
+	bad.DecodeBatch = 0
+	if _, ok := ev.Evaluate(bad); ok {
+		t.Fatal("decode batch 0 evaluated")
+	}
+	if _, ok := ev.Restamp(PolicyFIFO); ok {
+		t.Error("restamp after an infeasible Evaluate succeeded")
+	}
+	if _, ok := ev.Evaluate(a); !ok {
+		t.Fatal("schedule A infeasible")
+	}
+	if _, ok := ev.Restamp(BatchPolicy(7)); ok {
+		t.Error("restamp to an unknown policy succeeded")
+	}
+}
+
+// TestEvaluatorUnshaped: with an empty sample Evaluate returns the
+// compiled constant-shape metrics, and a restamp leaves them unchanged.
+func TestEvaluatorUnshaped(t *testing.T) {
+	plan, prof, pipe := mustCompile(t, ragschema.CaseIV(8e9), caseIVSchedule())
+	ev, err := NewEvaluator(pipe, prof, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m, ok := ev.Evaluate(caseIVSchedule()); !ok || m != plan.Metrics {
+		t.Fatalf("Evaluate %+v (ok %v), Compile %+v", m, ok, plan.Metrics)
+	}
+	if m, ok := ev.Restamp(PolicyBucketed); !ok || m != plan.Metrics {
+		t.Fatalf("Restamp %+v (ok %v), Compile %+v", m, ok, plan.Metrics)
+	}
+}

@@ -52,6 +52,9 @@ func (p BatchPolicy) String() string {
 	return fmt.Sprintf("policy(%d)", int(p))
 }
 
+// Known reports whether p is one of the defined policies.
+func (p BatchPolicy) Known() bool { return p >= PolicyFIFO && p <= PolicySorted }
+
 // ParseBatchPolicy parses the CLI spelling.
 func ParseBatchPolicy(s string) (BatchPolicy, error) {
 	switch s {

@@ -170,7 +170,7 @@ func (s Schedule) Validate(p pipeline.Pipeline) error {
 	if p.Schema.Iterative() && s.IterativeBatch < 1 {
 		return fmt.Errorf("engine: iterative workload without iterative batch")
 	}
-	if s.FormPolicy < PolicyFIFO || s.FormPolicy > PolicySorted {
+	if !s.FormPolicy.Known() {
 		return fmt.Errorf("engine: unknown batch-formation policy %d", int(s.FormPolicy))
 	}
 	if s.ChunkQuantum < 0 {

@@ -182,18 +182,23 @@ func (p *Plan) ShapeMetrics(shapes []Shape) perf.Metrics {
 	if len(shapes) == 0 {
 		return p.Metrics
 	}
+	return p.shapeMetrics(shapes, nil)
+}
+
+// shapeMetrics is ShapeMetrics over a non-empty sample, taking its two
+// sample terms from memo (nil computes them afresh).
+func (p *Plan) shapeMetrics(shapes []Shape, memo *shapeMemo) perf.Metrics {
 	dec := p.Steps[p.DecodeIdx]
-	var sumGen, sumOut float64
+	var sumOut float64
 	for _, s := range shapes {
 		out := s.OutputTokens
 		if out <= 0 {
 			out = dec.Stage.OutTokens
 		}
-		sumGen += p.GenTimeForShape(s.PromptTokens, s.OutputTokens) + p.Iter.StallPerRequest
 		sumOut += float64(out)
 	}
 	n := float64(len(shapes))
-	meanGen := sumGen / n
+	meanGen := memo.genSum(p, shapes) / n
 
 	prefix := p.Steps[p.PrefixIdx]
 	var deltaOcc, ttftPrefix float64
@@ -213,7 +218,7 @@ func (p *Plan) ShapeMetrics(shapes []Shape) perf.Metrics {
 	} else {
 		// Expected full-batch prefix latency over the policy's padded-max
 		// distribution.
-		elPrefix := p.expectedPrefixLatency(shapes, prefix.Batch)
+		elPrefix := memo.prefixLatency(p, shapes)
 		deltaOcc = (elPrefix - prefix.Latency) / float64(prefix.Batch)
 		ttftPrefix = elPrefix
 	}
@@ -235,6 +240,74 @@ func (p *Plan) ShapeMetrics(shapes []Shape) perf.Metrics {
 		QPSPerChip: qps / float64(p.Sched.ChipsUsed()),
 		Recall:     p.Metrics.Recall, // shape-independent: the scan's quality axis
 	}
+}
+
+// genSum is the sample's summed decode-slot holding time, iterative
+// stalls included: slots free at each request's own output length.
+func (p *Plan) genSum(shapes []Shape) float64 {
+	var sum float64
+	for _, s := range shapes {
+		sum += p.GenTimeForShape(s.PromptTokens, s.OutputTokens) + p.Iter.StallPerRequest
+	}
+	return sum
+}
+
+// shapeMemo caches ShapeMetrics' two sample terms for one fixed pipeline
+// and sample, which is all an Evaluator ever prices. genSum reads only the
+// decode step (its chips, batch and replicas fix the profiled pace) and
+// the per-request stall; expectedPrefixLatency reads only the prefix step
+// and the formation policy. Every stamp of one schedule shares the first,
+// and schedules that differ elsewhere share both.
+type shapeMemo struct {
+	gen    map[decodeKey]float64
+	prefix map[prefixKey]float64
+}
+
+type decodeKey struct {
+	chips, batch, replicas int
+	stall                  uint64 // Iter.StallPerRequest bits
+}
+
+type prefixKey struct {
+	chips, batch, replicas int
+	policy                 BatchPolicy
+}
+
+// genSum returns p.genSum(shapes), memoized; a nil memo computes it.
+func (m *shapeMemo) genSum(p *Plan, shapes []Shape) float64 {
+	if m == nil {
+		return p.genSum(shapes)
+	}
+	dec := p.Steps[p.DecodeIdx]
+	k := decodeKey{dec.Chips, dec.Batch, dec.Replicas, math.Float64bits(p.Iter.StallPerRequest)}
+	v, ok := m.gen[k]
+	if !ok {
+		v = p.genSum(shapes)
+		if m.gen == nil {
+			m.gen = make(map[decodeKey]float64)
+		}
+		m.gen[k] = v
+	}
+	return v
+}
+
+// prefixLatency returns the plan's expected full-batch prefix latency
+// under its formation policy, memoized; a nil memo computes it.
+func (m *shapeMemo) prefixLatency(p *Plan, shapes []Shape) float64 {
+	pre := p.Steps[p.PrefixIdx]
+	if m == nil {
+		return p.expectedPrefixLatency(shapes, pre.Batch)
+	}
+	k := prefixKey{pre.Chips, pre.Batch, pre.Replicas, p.Sched.FormPolicy}
+	v, ok := m.prefix[k]
+	if !ok {
+		v = p.expectedPrefixLatency(shapes, pre.Batch)
+		if m.prefix == nil {
+			m.prefix = make(map[prefixKey]float64)
+		}
+		m.prefix[k] = v
+	}
+	return v
 }
 
 // paddedPrompts resolves the sample onto the padding grid (unshaped

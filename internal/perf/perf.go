@@ -10,8 +10,10 @@
 package perf
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 )
@@ -88,24 +90,26 @@ type Point[T any] struct {
 // unmeasured there is a single level and the sweep is the original
 // three-objective staircase, point for point.
 func Frontier[T any](pts []Point[T]) []Point[T] {
-	valid := make([]Point[T], 0, len(pts))
-	for _, p := range pts {
-		if p.Metrics.Valid() {
-			valid = append(valid, p)
+	// The sorts permute int32 indices, not the points: payloads can be
+	// large (a full schedule), and stable sorts move elements many times.
+	order := make([]int32, 0, len(pts))
+	for i := range pts {
+		if pts[i].Metrics.Valid() {
+			order = append(order, int32(i))
 		}
 	}
-	sort.SliceStable(valid, func(i, j int) bool {
-		a, b := valid[i].Metrics, valid[j].Metrics
-		if a.TTFT != b.TTFT {
-			return a.TTFT < b.TTFT
+	slices.SortStableFunc(order, func(i, j int32) int {
+		a, b := &pts[i].Metrics, &pts[j].Metrics
+		if c := cmp.Compare(a.TTFT, b.TTFT); c != 0 {
+			return c
 		}
-		if a.TPOT != b.TPOT {
-			return a.TPOT < b.TPOT
+		if c := cmp.Compare(a.TPOT, b.TPOT); c != 0 {
+			return c
 		}
-		if a.QPSPerChip != b.QPSPerChip {
-			return a.QPSPerChip > b.QPSPerChip
+		if c := cmp.Compare(b.QPSPerChip, a.QPSPerChip); c != 0 {
+			return c
 		}
-		return a.Recall > b.Recall
+		return cmp.Compare(b.Recall, a.Recall)
 	})
 
 	// Each recall level holds kept (tpot, qps) corners with tpot strictly
@@ -119,9 +123,9 @@ func Frontier[T any](pts []Point[T]) []Point[T] {
 		stairs []corner
 	}
 	var levels []level
-	var front []Point[T]
-	for _, p := range valid {
-		m := p.Metrics
+	kept := order[:0]
+	for _, pi := range order {
+		m := pts[pi].Metrics
 		dominated := false
 		for li := range levels {
 			if levels[li].recall < m.Recall {
@@ -138,7 +142,7 @@ func Frontier[T any](pts []Point[T]) []Point[T] {
 		if dominated {
 			continue
 		}
-		front = append(front, p)
+		kept = append(kept, pi)
 		// Insert the new corner into its own recall level (created on
 		// first use) and drop now-redundant successors.
 		li := sort.Search(len(levels), func(k int) bool { return levels[k].recall <= m.Recall })
@@ -156,21 +160,28 @@ func Frontier[T any](pts []Point[T]) []Point[T] {
 		}
 		levels[li].stairs = append(stairs[:ins], append([]corner{{m.TPOT, m.QPSPerChip}}, stairs[end:]...)...)
 	}
-	sort.SliceStable(front, func(i, j int) bool {
-		a, b := front[i].Metrics, front[j].Metrics
-		if a.TTFT != b.TTFT {
-			return a.TTFT < b.TTFT
+	slices.SortStableFunc(kept, func(i, j int32) int {
+		a, b := &pts[i].Metrics, &pts[j].Metrics
+		if c := cmp.Compare(a.TTFT, b.TTFT); c != 0 {
+			return c
 		}
-		if a.QPSPerChip != b.QPSPerChip {
-			return a.QPSPerChip > b.QPSPerChip
+		if c := cmp.Compare(b.QPSPerChip, a.QPSPerChip); c != 0 {
+			return c
 		}
 		// With the recall axis, points can tie on (TTFT, QPS/chip)
 		// without dominance; order them deterministically.
-		if a.TPOT != b.TPOT {
-			return a.TPOT < b.TPOT
+		if c := cmp.Compare(a.TPOT, b.TPOT); c != 0 {
+			return c
 		}
-		return a.Recall > b.Recall
+		return cmp.Compare(b.Recall, a.Recall)
 	})
+	if len(kept) == 0 {
+		return nil
+	}
+	front := make([]Point[T], len(kept))
+	for i, pi := range kept {
+		front[i] = pts[pi]
+	}
 	return front
 }
 
